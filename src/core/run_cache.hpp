@@ -49,7 +49,9 @@ class RunCache {
   /// reference simulation.  Same discipline as continual_run: computed
   /// unlocked on miss (concurrent callers may race to simulate; the first
   /// insert wins and later computes are discarded), cleared by clear().
-  const sched::RunResult& memoized(
+  /// Returns a copy taken under the lock: the service clears the memo on
+  /// every ingest while other connections' queries are still reading it.
+  sched::RunResult memoized(
       std::uint64_t key, const std::function<sched::RunResult()>& compute);
 
   /// Drop every entry (tests use this to bound memory).  Invalidates all

@@ -1,7 +1,6 @@
 #include "metrics/utilization.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "util/assert.hpp"
 
@@ -70,21 +69,28 @@ std::vector<double> utilization_series(
 
 std::vector<std::pair<SimTime, int>> busy_step_function(
     std::span<const sched::JobRecord> records, JobFilter filter) {
-  std::map<SimTime, int> delta;
+  // (time, cpu delta) events, sorted once; equal times merge in the sweep.
+  std::vector<std::pair<SimTime, int>> delta;
+  delta.reserve(2 * records.size());
   for (const auto& r : records) {
     if (!passes(r, filter)) continue;
     if (r.end <= r.start) continue;
-    delta[r.start] += r.job.cpus;
-    delta[r.end] -= r.job.cpus;
+    delta.emplace_back(r.start, r.job.cpus);
+    delta.emplace_back(r.end, -r.job.cpus);
   }
+  std::sort(delta.begin(), delta.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<std::pair<SimTime, int>> steps;
   steps.reserve(delta.size() + 1);
   steps.emplace_back(0, 0);
   int busy = 0;
-  for (const auto& [t, d] : delta) {
-    busy += d;
+  for (std::size_t i = 0; i < delta.size();) {
+    const SimTime t = delta[i].first;
+    for (; i < delta.size() && delta[i].first == t; ++i) {
+      busy += delta[i].second;
+    }
     ISTC_ASSERT(busy >= 0);
-    if (!steps.empty() && steps.back().first == t) {
+    if (steps.back().first == t) {
       steps.back().second = busy;
     } else {
       steps.emplace_back(t, busy);

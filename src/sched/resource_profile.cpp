@@ -121,6 +121,34 @@ void ResourceProfile::release(SimTime start, SimTime end, int cpus) {
   index_dirty_ = true;
 }
 
+void ResourceProfile::extend(std::span<const std::pair<SimTime, int>> steps,
+                             SimTime horizon) {
+  ISTC_EXPECTS(!steps.empty());
+  ISTC_EXPECTS(horizon > std::max(steps.back().first, origin_));
+  const SimTime from = std::max(steps.front().first, origin_);
+  const std::size_t cut = split_at(from);
+  bool placeholder = true;
+  for (std::size_t i = cut; i < pts_.size(); ++i) {
+    placeholder = placeholder && pts_[i].f == capacity_;
+  }
+  ISTC_EXPECTS(placeholder);
+  pts_.resize(cut);
+  for (std::size_t k = 0; k < steps.size(); ++k) {
+    const auto [t, f] = steps[k];
+    ISTC_EXPECTS(k == 0 || t > steps[k - 1].first);
+    ISTC_EXPECTS(f >= 0 && f <= capacity_);
+    const SimTime at = std::max(t, origin_);
+    if (pts_.size() > head_ && pts_.back().t == at) {
+      pts_.back().f = f;  // a later step at or before the origin wins
+    } else {
+      pts_.push_back(Pt{at, f});
+    }
+  }
+  if (horizon < kTimeInfinity) pts_.push_back(Pt{horizon, capacity_});
+  coalesce(from, horizon);
+  index_dirty_ = true;
+}
+
 SimTime ResourceProfile::next_change(SimTime t) const {
   return step_at(t).until;
 }

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "util/time.hpp"
@@ -56,6 +58,18 @@ class ResourceProfile {
   /// Add `cpus` over [start, end) (capacity growth / release); the result
   /// may not exceed the construction capacity (checked).
   void release(SimTime start, SimTime end, int cpus);
+
+  /// Lay a static step function in from `steps.front()` onward: each
+  /// (time, free CPUs) step holds until the next, the last one until
+  /// `horizon`, and from `horizon` on the profile is `capacity()` again
+  /// (kTimeInfinity: the last step holds forever).  The part overwritten
+  /// must still be uniform capacity (checked), i.e. the placeholder a
+  /// previous extend() left, so a long function can be laid in chunk by
+  /// chunk just ahead of the queries that need it.  Steps are strictly
+  /// increasing in time with 0..capacity free; steps at or before
+  /// origin() fold into the first segment, and equal neighbours coalesce.
+  void extend(std::span<const std::pair<SimTime, int>> steps,
+              SimTime horizon);
 
   /// Earliest t >= not_before such that min_free(t, t+duration) >= cpus.
   /// Always succeeds (the profile is capacity after the last breakpoint)

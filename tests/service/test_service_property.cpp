@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -15,7 +17,7 @@
 /// The same query against the same epoch must return byte-identical JSON no
 /// matter how queries are ordered, whether they run concurrently, and
 /// whether no-op ingests (blanks, filtered records, malformed lines) are
-/// interleaved between them.
+/// interleaved between them, and while another client ingests.
 
 namespace istc::service {
 namespace {
@@ -145,6 +147,90 @@ TEST(ServiceProperty, ConcurrentAnswersMatchSerialAnswers) {
       EXPECT_EQ(reply, serial[pick]);
     }
   }
+}
+
+/// The epoch a whatif reply was computed against.
+std::uint64_t reply_epoch(const std::string& reply) {
+  const ParseResult p = parse(reply);
+  EXPECT_TRUE(p.ok()) << reply;
+  return static_cast<std::uint64_t>(p.value.num_or("epoch", -1));
+}
+
+TEST(SessionConcurrency, IngestWithStragglersUnderForkedQueries) {
+  // Multi-point forked queries: each reads every point's reference arm
+  // from the session's memo while the ingesting client keeps bumping the
+  // epoch (and clearing that memo).  Stragglers force snapshot rewinds.
+  const std::vector<std::string> queries = {
+      "{\"op\":\"whatif\",\"jobs\":5,\"cpus\":16,\"runtime_s\":600,"
+      "\"horizon_s\":10800,\"points_s\":[0,1800]}",
+      "{\"op\":\"whatif\",\"jobs\":3,\"cpus\":32,\"runtime_s\":300,"
+      "\"horizon_s\":7200,\"points_s\":[0,600,1200]}",
+  };
+  std::vector<std::string> ingests;
+  for (int i = 0; i < 10; ++i) {
+    // Every third line lands behind the frontier.
+    const SimTime submit = i % 3 == 2 ? 200 + 90 * i : 900 + 120 * i;
+    ingests.push_back(
+        ingest_request(swf_line(submit, 240 + 30 * i, 8 + 16 * (i % 4), 900)));
+  }
+
+  // Serial oracle: every query's reply at every epoch the race can see.
+  std::map<std::uint64_t, std::vector<std::string>> serial;
+  {
+    Session session(ross_config());
+    preload(session, 12);
+    for (std::size_t k = 0; k <= ingests.size(); ++k) {
+      std::vector<std::string>& replies = serial[session.epoch()];
+      for (const auto& q : queries) replies.push_back(session.handle_line(q));
+      if (k < ingests.size()) session.handle_line(ingests[k]);
+    }
+  }
+  ASSERT_EQ(serial.size(), ingests.size() + 1);
+
+  Session session(ross_config());
+  preload(session, 12);
+  constexpr int kQueryThreads = 4;
+  std::atomic<bool> ingest_done{false};
+  std::atomic<int> answered{0};
+  std::vector<std::vector<std::pair<std::size_t, std::string>>> got(
+      kQueryThreads);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kQueryThreads; ++t) {
+    clients.emplace_back([&, t] {
+      auto& mine = got[static_cast<std::size_t>(t)];
+      for (std::size_t i = static_cast<std::size_t>(t); !ingest_done.load();
+           ++i) {
+        const std::size_t pick = i % queries.size();
+        mine.emplace_back(pick, session.handle_line(queries[pick]));
+        answered.fetch_add(1);
+      }
+    });
+  }
+  std::vector<std::string> ingest_replies;
+  for (const auto& line : ingests) {
+    // Let a few queries land in every epoch before moving on.
+    const int before = answered.load();
+    while (answered.load() < before + kQueryThreads) std::this_thread::yield();
+    ingest_replies.push_back(session.handle_line(line));
+  }
+  ingest_done.store(true);
+  for (auto& c : clients) c.join();
+
+  for (const auto& reply : ingest_replies) {
+    EXPECT_NE(reply.find("\"accepted\":true"), std::string::npos) << reply;
+  }
+  EXPECT_GT(session.rewinds(), 0u);
+  std::size_t total = 0;
+  for (const auto& replies : got) {
+    for (const auto& [pick, reply] : replies) {
+      ++total;
+      ASSERT_EQ(reply.find("\"error\""), std::string::npos) << reply;
+      const auto it = serial.find(reply_epoch(reply));
+      ASSERT_NE(it, serial.end()) << reply;
+      EXPECT_EQ(reply, it->second[pick]);
+    }
+  }
+  EXPECT_GE(total, ingests.size() * kQueryThreads);
 }
 
 TEST(ServiceProperty, EpochBumpChangesTheBaselineAdvertisedToClients) {
