@@ -9,7 +9,6 @@
 #include "core/project.hpp"
 #include "fault/fault.hpp"
 #include "sched/record.hpp"
-#include "sim/event_queue.hpp"
 #include "trace/tracer.hpp"
 #include "util/stats.hpp"
 
@@ -55,25 +54,6 @@ struct Scenario {
   /// Ablation knob: override the site policy's backfill discipline
   /// (sched::PolicySpec::backfill); nullopt keeps the site default.
   std::optional<sched::BackfillMode> backfill;
-  /// Maintain the scheduler's free-CPU profile incrementally across passes
-  /// (sched::PolicySpec::incremental_profile).  OFF selects the from-scratch
-  /// per-pass rebuild — the A/B baseline for bench/micro_scheduler;
-  /// schedules are identical either way.
-  bool incremental_profile = true;
-  /// Use the engine's typed, allocation-free event core (ON is the fast
-  /// path).  OFF selects the legacy std::function event queue — kept as
-  /// the A/B baseline for bench/micro_engine; schedules are bit-identical
-  /// either way (pinned by tests/trace/test_determinism.cpp).
-  bool typed_events = true;
-  /// Which typed queue runs the engine (ignored when typed_events is
-  /// false): the calendar/ladder queue is the production default, the
-  /// binary heap the PR 3 A/B baseline.  Schedules are bit-identical in
-  /// every mode (same golden pins).
-  sim::QueueImpl queue = sim::QueueImpl::kCalendar;
-  /// The engine queue selection this scenario resolves to.
-  sim::QueueImpl queue_impl() const {
-    return typed_events ? queue : sim::QueueImpl::kLegacy;
-  }
   /// Unplanned failures (crashes + node outages); the default is inert and
   /// fault-free runs are bit-identical to pre-fault builds.  An enabled
   /// spec has its stop clamped to the site span, and the run stays

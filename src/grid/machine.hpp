@@ -108,12 +108,6 @@ struct MachineSetup {
   /// How long a delivered job may sit unstarted (gate closed, no space)
   /// before the port bounces it back to the broker for re-routing.
   Seconds bounce_patience = 0;
-  bool typed_events = true;
-  /// Typed queue selection (same semantics as core::Scenario::queue).
-  sim::QueueImpl queue = sim::QueueImpl::kCalendar;
-  sim::QueueImpl queue_impl() const {
-    return typed_events ? queue : sim::QueueImpl::kLegacy;
-  }
 };
 
 class GridMachine {
@@ -135,7 +129,7 @@ class GridMachine {
 
   /// Fork: a new GridMachine whose state is a copy-on-write snapshot of
   /// this one at the current sim time — same protocol as core::SimRun.
-  /// Requires the typed event core (adopt_state) and a quiescent machine
+  /// Requires a closure-free event queue (adopt_state) and a quiescent machine
   /// (between events, i.e. at a fleet epoch boundary).  `this` is mutated
   /// only to freeze its shared log prefixes.  The fork starts with a fresh
   /// counters-only tracer; port statistics carry over.

@@ -69,15 +69,6 @@ struct PassState {
   }
 };
 
-/// Cheap per-stage counters (wall time is recorded only when a counting
-/// tracer is attached, mirroring trace::ScopedPassTimer's contract that
-/// untraced runs never read the clock).
-struct StageStats {
-  std::uint64_t runs = 0;
-  std::uint64_t us_total = 0;
-  std::uint64_t us_max = 0;
-};
-
 /// One stage of the scheduling pass.
 class PassStage {
  public:
@@ -89,14 +80,11 @@ class PassStage {
 
   StageKind kind() const { return kind_; }
   const char* name() const { return stage_name(kind_); }
-  const StageStats& stats() const { return stats_; }
 
   virtual void run(BatchScheduler& sched, PassState& st) = 0;
 
  private:
-  friend class BatchScheduler;
   StageKind kind_;
-  StageStats stats_;
 };
 
 /// Recompute fair-share priorities and sort the queue — or prove nothing

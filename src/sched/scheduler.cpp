@@ -226,12 +226,8 @@ void BatchScheduler::start_job(std::uint32_t slot, SimTime now) {
   }
   machine_.allocate(job.cpus);
   // Persistent-profile delta: the job occupies cpus until its estimated
-  // end.  Outside a pass (the interstitial driver's immediate starts) the
-  // rebuild-mode profile is stale until the next pass reconstructs it, so
-  // only the incremental path applies the delta there.
-  if (in_pass_ || policy_.incremental_profile) {
-    profile_.reserve(now, now + job.estimate, job.cpus);
-  }
+  // end.
+  profile_.reserve(now, now + job.estimate, job.cpus);
   store_.mark_running(slot, now, now + job.estimate);
   engine_.schedule_job_finish(now + job.runtime, slot);
 }
@@ -259,9 +255,7 @@ void BatchScheduler::complete_job(std::uint32_t slot, SimTime now) {
   machine_.release(job.cpus);
   // Persistent-profile delta: return the estimated remainder.  When the
   // estimate was exact (est_end == now) nothing of it lies in the future.
-  if (policy_.incremental_profile && est_end > now) {
-    profile_.release(now, est_end, job.cpus);
-  }
+  if (est_end > now) profile_.release(now, est_end, job.cpus);
   // Interstitial jobs run outside the fair-share ledger: they are a
   // facility-level scavenger stream, not a competing allocation.
   if (!job.interstitial()) {
@@ -293,22 +287,15 @@ ResourceProfile BatchScheduler::rebuild_profile(SimTime now) const {
 }
 
 void BatchScheduler::prepare_profile(SimTime now) {
-  if (policy_.incremental_profile) {
-    profile_.advance_origin(now);
+  profile_.advance_origin(now);
 #ifdef ISTC_PARANOID
-    // Cross-check the incrementally maintained profile against a
-    // from-scratch reconstruction: they must be the same step function.
-    if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
-      ++tracer_->counters().profile_rebuilds;
-    }
-    ISTC_ASSERT(profile_.same_function(rebuild_profile(now)));
-#endif
-  } else {
-    profile_ = rebuild_profile(now);
-    if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
-      ++tracer_->counters().profile_rebuilds;
-    }
+  // Cross-check the incrementally maintained profile against a
+  // from-scratch reconstruction: they must be the same step function.
+  if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
+    ++tracer_->counters().profile_rebuilds;
   }
+  ISTC_ASSERT(profile_.same_function(rebuild_profile(now)));
+#endif
 }
 
 void BatchScheduler::reserve_temp(SimTime start, SimTime end, int cpus) {
@@ -427,15 +414,9 @@ void BatchScheduler::pass(SimTime now) {
     pass_us += us;
   }
   for (const auto& stage : pipeline_) {
-    ++stage->stats_.runs;
-    if (!timed) {
-      stage->run(*this, pass_state_);
-      continue;
-    }
     stage->run(*this, pass_state_);
+    if (!timed) continue;
     const std::uint64_t us = lap();
-    stage->stats_.us_total += us;
-    stage->stats_.us_max = std::max(stage->stats_.us_max, us);
     const auto slot = static_cast<int>(stage->kind());
     if (counters) {
       auto& c = tracer_->counters();
@@ -497,9 +478,7 @@ void BatchScheduler::kill_running_job(std::uint32_t slot, KillReason reason) {
   // (its origin-side history was already chopped by advance_origin).  A
   // fault kill can race a same-instant completion estimate: when est_end
   // == now nothing of the reservation lies in the future.
-  if ((in_pass_ || policy_.incremental_profile) && est_end > now) {
-    profile_.release(now, est_end, job.cpus);
-  }
+  if (est_end > now) profile_.release(now, est_end, job.cpus);
   killed_records_.push_back(JobRecord{job, start, now});
   // The slot parks as a zombie: the queued finish event still references
   // it, and its firing frees the slot.
@@ -575,9 +554,7 @@ std::vector<JobRecord> BatchScheduler::fail_capacity(int cpus, SimTime until,
   failed_cpus_ += cpus;
   // The downed capacity is a reservation ending at the repair time, so
   // backfill plans around the outage exactly like around running jobs.
-  if (in_pass_ || policy_.incremental_profile) {
-    profile_.reserve(now, until, cpus);
-  }
+  profile_.reserve(now, until, cpus);
   const std::uint32_t outage_id = next_outage_id_++;
   outages_.push_back(CapacityOutage{outage_id, cpus, until});
   // Typed repair event: the queue holds a POD entry carrying the outage

@@ -69,11 +69,6 @@ struct PolicySpec {
   /// impact collapses to ~zero; the price is the killed jobs' wasted
   /// cycles, reported via RunResult::killed.
   bool preempt_interstitial = false;
-  /// Maintain the free-CPU profile incrementally across passes (the fast
-  /// path).  OFF rebuilds it from every running job at each pass — kept
-  /// as the A/B baseline for bench/micro_scheduler and as a debugging
-  /// fallback; schedules are identical either way.
-  bool incremental_profile = true;
 };
 
 /// Snapshot handed to the post-pass hook (the interstitial driver).
@@ -129,8 +124,7 @@ struct SchedulerProbe {
   /// job is blocked.
   Seconds head_backfill_wall = -1;
   /// Free CPUs per the free-CPU profile at `now` — the current interstice
-  /// width in the estimated schedule (equals free_cpus between passes when
-  /// incremental maintenance is on).
+  /// width in the estimated schedule (equals free_cpus between passes).
   int interstice_cpus = 0;
   /// Seconds until the free-CPU profile next changes value (how long the
   /// current interstice holds, per estimates); -1 when constant forever.
@@ -263,9 +257,6 @@ class BatchScheduler : private sim::JobEventSink {
   const PassContext& last_pass() const { return last_pass_; }
 
   /// Instantaneous state probe for the metrics sampler; see SchedulerProbe.
-  /// Profile-derived fields (interstice_hold, profile_steps) reflect the
-  /// last pass when incremental maintenance is off (rebuild mode leaves the
-  /// profile stale between passes).
   SchedulerProbe probe() const;
 
   /// Collect results; requires the simulation to have drained (no pending
@@ -298,7 +289,7 @@ class BatchScheduler : private sim::JobEventSink {
   };
 
   /// Capacity held offline by an unplanned failure until its repair time;
-  /// rebuild-mode profiles must re-reserve these (they are not running
+  /// rebuild_profile() must re-reserve these (they are not running
   /// jobs).  The id travels in the typed kCapacityRepair event, which
   /// erases the entry when the repair fires.
   struct CapacityOutage {
@@ -307,19 +298,18 @@ class BatchScheduler : private sim::JobEventSink {
     SimTime until = 0;
   };
 
-  /// The scheduling pass (engine quiescent hook): advance/rebuild the
-  /// profile, then run the stage pipeline.
+  /// The scheduling pass (engine quiescent hook): advance the profile,
+  /// then run the stage pipeline.
   void pass(SimTime now);
 
-  /// Advance the incremental profile's origin to now — or rebuild it from
-  /// the running slots when incremental maintenance is off.  Under
+  /// Advance the incremental profile's origin to now.  Under
   /// ISTC_PARANOID the incremental profile is checked against a rebuild
   /// every pass.
   void prepare_profile(SimTime now);
 
   /// From-scratch profile: capacity minus every running job's estimated
-  /// remainder (the old per-pass construction; now the A/B baseline and
-  /// the paranoid cross-check).
+  /// remainder and every outage (the reference the paranoid cross-check
+  /// compares the incremental profile against).
   ResourceProfile rebuild_profile(SimTime now) const;
 
   /// Reserve on the profile for this pass only (blocked-job reservations).

@@ -7,6 +7,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/json_format.hpp"
+
 /// \file json.hpp
 /// A minimal JSON value and a non-throwing, depth-limited parser.
 ///
@@ -110,11 +112,9 @@ class JsonWriter {
   bool first_ = true;
 };
 
-/// Escape a string for embedding in JSON (same table as grid/report.cpp).
-std::string json_escape(std::string_view s);
-
-/// The repo-wide deterministic double format ("%.6g", integral values
-/// printed without an exponent where possible).
-std::string format_double(double v);
+/// The repo's one escaper and number format live in util/json_format.hpp;
+/// the service:: names stay for the callers that spell them that way.
+using istc::format_double;
+using istc::json_escape;
 
 }  // namespace istc::service

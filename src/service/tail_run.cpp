@@ -24,8 +24,7 @@ std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
 
 TailRun::TailRun(const TailConfig& cfg)
     : site_(cfg.site),
-      span_(cluster::site_span(cfg.site)),
-      engine_(sim::QueueImpl::kCalendar) {
+      span_(cluster::site_span(cfg.site)) {
   scheduler_ = std::make_unique<sched::BatchScheduler>(
       engine_, cluster::make_machine(site_), sched::site_policy(site_));
   if (cfg.stream) {
@@ -34,7 +33,7 @@ TailRun::TailRun(const TailConfig& cfg)
 }
 
 TailRun::TailRun(TailRun& other)
-    : site_(other.site_), span_(other.span_), engine_(other.engine_.queue_impl()) {
+    : site_(other.site_), span_(other.span_) {
   // Same order as SimRun's fork constructor: the engine snapshot first,
   // then the scheduler clone registers itself as the new engine's sink,
   // then the driver clone re-registers its hooks on the new scheduler.

@@ -10,15 +10,16 @@
 #include "util/time.hpp"
 
 /// \file calendar_queue.hpp
-/// A two-rung calendar/ladder queue over the typed 24-byte Event.
+/// The event queue: a two-rung calendar/ladder queue over the typed
+/// 24-byte Event.
 ///
-/// The binary heap of event_queue.hpp pays O(log n) word-copy sifts per
-/// operation, and n is large: a replay preloads every submission, so the
-/// heap holds thousands of entries for months of simulated time.  The
-/// workloads' event times are near-uniform (finish times spread across the
-/// trace span), which is the textbook case for a calendar queue: hash the
-/// time into a bucket, keep only the bucket at the cursor sorted, and both
-/// push and pop become O(1) amortized.
+/// A replay preloads every submission, so the queue holds thousands of
+/// entries for months of simulated time, and a binary heap would pay
+/// O(log n) word-copy sifts per operation.  The workloads' event times
+/// are near-uniform (finish times spread across the trace span), which is
+/// the textbook case for a calendar queue: hash the time into a bucket,
+/// keep only the bucket at the cursor sorted, and both push and pop
+/// become O(1) amortized.
 ///
 /// Layout (widths are powers of two so bucket indexing is a shift):
 ///   - `cur_`: the events at the cursor, sorted ascending with a head
@@ -41,14 +42,14 @@
 /// rung-2 -> rung-1 spread, one bucket sort share, pop), hence the O(1)
 /// amortized bound.  Ordering is the exact (time, seq) contract of
 /// event_before(): equal-time events meet in the same bucket and the sort
-/// is on the full key, so FIFO-among-equal-times survives bucketing and
-/// schedules stay bit-identical to the binary heap's (pinned by the golden
-/// hashes in tests/trace/test_determinism).
+/// is on the full key, so FIFO-among-equal-times survives bucketing
+/// (schedules are pinned by the golden hashes in
+/// tests/trace/test_determinism).
 ///
-/// Unlike the heap, a calendar allocates while buckets warm up to their
-/// working capacity (counted in heap_allocations()); once warm, the
-/// bucket vectors recycle modulo the wheel size and the steady state
-/// allocates nothing (asserted in tests/sim/test_event_queue.cpp).
+/// The queue allocates while buckets warm up to their working capacity
+/// (counted in heap_allocations()); once warm, the bucket vectors recycle
+/// modulo the wheel size and the steady state allocates nothing (asserted
+/// in tests/sim/test_event_queue.cpp).
 
 namespace istc::sim {
 
@@ -109,6 +110,8 @@ class CalendarEventQueue {
   }
 
   /// Remove and return the earliest event per the (time, seq) contract.
+  /// A kCallback entry's payload stays in the slab until the caller claims
+  /// it with take_callback() — exactly once per popped callback event.
   Event pop() {
     ISTC_EXPECTS(size_ > 0);
     const Event top = cur_[head_++];
@@ -132,7 +135,9 @@ class CalendarEventQueue {
   }
 
   /// Run-fork support: become a copy of `other`'s pending events and push
-  /// counter (requires both slabs payload-free, see EventQueue).
+  /// counter.  Requires both queues to hold no live callback payloads —
+  /// with the slab empty the queue is plain trivially copyable data, which
+  /// is what makes forking a mid-run simulation cheap and exact.
   void assign_from(const CalendarEventQueue& other) {
     ISTC_EXPECTS(other.slab_.live() == 0);
     ISTC_EXPECTS(slab_.live() == 0);
@@ -151,11 +156,15 @@ class CalendarEventQueue {
     limit2_ = other.limit2_;
   }
 
+  /// Heap allocations performed by the queue since construction: bucket
+  /// and window growth plus boxed (out-of-line) callbacks.
   std::uint64_t heap_allocations() const {
     return grows_ + slab_.grows() + slab_.boxed();
   }
   std::uint64_t boxed_callbacks() const { return slab_.boxed(); }
+  /// Callback payloads pushed but not yet claimed (see CallbackSlab).
   std::uint64_t live_callbacks() const { return slab_.live(); }
+  /// High-water mark of simultaneously queued events.
   std::size_t peak_size() const { return peak_size_; }
 
  private:

@@ -1,9 +1,7 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -13,33 +11,25 @@
 #include "util/time.hpp"
 
 /// \file event_queue.hpp
-/// The typed event core: a monotone priority queue of timestamped events.
+/// The typed event entry and its callback storage, shared by the event
+/// queue (calendar_queue.hpp).
 ///
 /// Ordering contract: events fire in strictly increasing (time, seq) order,
 /// where `seq` is the queue's push counter.  Ties on `time` therefore fire
-/// in insertion (FIFO) order, independent of heap internals, which is what
+/// in insertion (FIFO) order, independent of queue internals, which is what
 /// makes replays deterministic and lets the tracer mirror the key.
 ///
-/// The steady state of a multi-month replay pushes and pops millions of
-/// events, so the hot representation is a flat binary heap of trivially
-/// copyable 24-byte `Event` entries — sifting is plain word copies, and
-/// with a `reserve()`d backing vector a push/pop cycle performs zero heap
-/// allocations.  The simulation's actual event kinds (job submit, job
-/// finish, scheduler wake) carry a 32-bit argument instead of a captured
-/// closure; arbitrary callbacks remain available through a small-buffer
-/// slot slab kept off the heap (arg indexes into it, slots recycle through
-/// a free list) that stores trivially copyable callables inline and boxes
+/// A multi-month replay pushes and pops millions of events, so an entry
+/// is a trivially copyable 24-byte `Event`: moving one is plain word
+/// copies.  The simulation's actual event kinds (job submit, job finish,
+/// scheduler wake) carry a 32-bit argument instead of a captured closure;
+/// arbitrary callbacks remain available through a small-buffer slot slab
+/// kept beside the entries (arg indexes into it, slots recycle through a
+/// free list) that stores trivially copyable callables inline and boxes
 /// the rest (counted, so tests can assert the steady state allocates
 /// nothing).
-///
-/// `LegacyEventQueue` below is the previous `std::function`-based
-/// implementation, kept in-binary as the A/B baseline for
-/// bench/micro_engine (`Scenario::typed_events = false` selects it).
 
 namespace istc::sim {
-
-/// Event payloads for the generic-callback fallback path.
-using EventFn = std::function<void()>;
 
 /// The simulation's event kinds.  kCallback is the type-erased fallback
 /// that keeps the generic `schedule(t, fn)` API working; the typed kinds
@@ -57,17 +47,8 @@ enum class EventType : std::uint8_t {
 
 inline constexpr int kNumEventTypes = 8;
 
-/// Which event-queue representation an engine runs on.  All three honor
-/// the same (time, seq) ordering contract and are pinned to identical
-/// golden schedule hashes; they differ only in cost.
-enum class QueueImpl : std::uint8_t {
-  kLegacy,      ///< std::function heap (pre-rewrite baseline)
-  kBinaryHeap,  ///< typed flat binary heap (PR 3), O(log n) push/pop
-  kCalendar,    ///< two-rung calendar/ladder queue, O(1) amortized
-};
-
 /// Small-buffer storage for kCallback events.  Trivially copyable
-/// callables up to kInlineBytes live inline (the heap then relocates them
+/// callables up to kInlineBytes live inline (the queue then relocates them
 /// with the entry, no allocation); anything larger or non-trivial is boxed
 /// on the heap and the box pointer stored instead.  The slot itself stays
 /// trivially copyable either way — ownership of a box transfers with the
@@ -124,10 +105,10 @@ class CallbackSlot {
   alignas(kAlign) unsigned char buf_[kInlineBytes];
 };
 
-/// The kCallback payload slab shared by the typed queues: slots recycle
-/// through a free list, trivially copyable callables live inline, the rest
-/// are boxed and counted.  Separate from the queue's entry storage so both
-/// the binary heap and the calendar queue reuse the same machinery.
+/// The kCallback payload slab: slots recycle through a free list,
+/// trivially copyable callables live inline, the rest are boxed and
+/// counted.  Separate from the queue's entry storage, so queue entries
+/// stay plain 24-byte values.
 class CallbackSlab {
  public:
   void reserve(std::size_t n) {
@@ -189,9 +170,9 @@ class CallbackSlab {
   std::uint64_t live_ = 0;
 };
 
-/// One queue entry.  Trivially copyable and small on purpose: heap sifts
-/// move these with plain assignment, never a type-erased move constructor,
-/// and pop cost scales with entry size.  Callback payloads live in the
+/// One queue entry.  Trivially copyable and small on purpose: the queue
+/// moves these with plain assignment, never a type-erased move constructor,
+/// and bucket spreads and sorts scale with entry size.  Callback payloads live in the
 /// queue's slot slab (arg = slot index), not in the entry.
 struct Event {
   SimTime time = 0;
@@ -201,205 +182,14 @@ struct Event {
 };
 
 static_assert(std::is_trivially_copyable_v<Event>,
-              "heap sifting relies on memcpy-equivalent entry moves");
+              "the queue relies on memcpy-equivalent entry moves");
 static_assert(sizeof(Event) <= 24,
-              "keep heap entries small: sift cost is copy cost");
+              "keep queue entries small: move cost is copy cost");
 
-/// The ordering contract, shared by every queue implementation.
+/// The ordering contract.
 inline bool event_before(const Event& a, const Event& b) {
   if (a.time != b.time) return a.time < b.time;
   return a.seq < b.seq;
 }
-
-class EventQueue {
- public:
-  EventQueue() = default;
-  EventQueue(const EventQueue&) = delete;
-  EventQueue& operator=(const EventQueue&) = delete;
-
-  ~EventQueue() {
-    for (const Event& e : heap_) {
-      if (e.type == EventType::kCallback) slab_.dispose(e.arg);
-    }
-  }
-
-  /// Pre-size the backing storage (heap entries, callback slots, free
-  /// list); pushes within capacity never allocate.  (The reservation
-  /// itself is deliberately not counted as a queue allocation — it is the
-  /// amortization API.)
-  void reserve(std::size_t n) {
-    heap_.reserve(n);
-    slab_.reserve(n);
-  }
-
-  /// Run-fork support: become a copy of `other`'s pending events and push
-  /// counter.  Requires both queues to hold no live callback payloads —
-  /// with the slab empty the queue is plain trivially copyable data, which
-  /// is what makes forking a mid-run simulation cheap and exact.
-  void assign_from(const EventQueue& other) {
-    ISTC_EXPECTS(other.slab_.live() == 0);
-    ISTC_EXPECTS(slab_.live() == 0);
-    heap_ = other.heap_;
-    seq_ = other.seq_;
-    peak_size_ = other.peak_size_;
-  }
-
-  void push_typed(SimTime t, EventType type, std::uint32_t arg) {
-    ISTC_EXPECTS(type != EventType::kCallback);
-    Event e;
-    e.time = t;
-    e.type = type;
-    e.arg = arg;
-    push_entry(e);
-  }
-
-  template <class F>
-  void push_callback(SimTime t, F&& fn) {
-    Event e;
-    e.time = t;
-    e.type = EventType::kCallback;
-    e.arg = slab_.put(std::forward<F>(fn));
-    push_entry(e);
-  }
-
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-  std::size_t capacity() const { return heap_.capacity(); }
-
-  SimTime next_time() const {
-    ISTC_EXPECTS(!heap_.empty());
-    return heap_.front().time;
-  }
-
-  /// Remove and return the earliest event per the (time, seq) contract.
-  /// A kCallback entry's payload stays in the slab until the caller claims
-  /// it with take_callback() — exactly once per popped callback event.
-  Event pop() {
-    ISTC_EXPECTS(!heap_.empty());
-    Event top = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-    return top;
-  }
-
-  /// Claim the payload of a popped kCallback event and recycle its slot.
-  /// The slot is released *before* the caller invokes, so a callback that
-  /// schedules new events may reuse it — take the copy, then invoke() (or
-  /// dispose()) it exactly once.
-  CallbackSlot take_callback(const Event& e) {
-    ISTC_EXPECTS(e.type == EventType::kCallback);
-    return slab_.take(e.arg);
-  }
-
-  /// Heap allocations performed by the queue since construction: backing-
-  /// vector growth plus boxed (out-of-line) callbacks.  Zero in steady
-  /// state on the typed path — the acceptance criterion of the rewrite.
-  std::uint64_t heap_allocations() const {
-    return grows_ + slab_.grows() + slab_.boxed();
-  }
-  std::uint64_t boxed_callbacks() const { return slab_.boxed(); }
-
-  /// Callback payloads pushed but not yet claimed (see CallbackSlab).
-  std::uint64_t live_callbacks() const { return slab_.live(); }
-
-  /// High-water mark of simultaneously queued events.
-  std::size_t peak_size() const { return peak_size_; }
-
- private:
-  static bool before(const Event& a, const Event& b) {
-    return event_before(a, b);
-  }
-
-  void push_entry(Event& e) {
-    e.seq = seq_++;
-    if (heap_.size() == heap_.capacity()) ++grows_;
-    heap_.push_back(e);
-    if (heap_.size() > peak_size_) peak_size_ = heap_.size();
-    sift_up(heap_.size() - 1);
-  }
-
-  void sift_up(std::size_t i) {
-    Event e = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!before(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = e;
-  }
-
-  void sift_down(std::size_t i) {
-    const std::size_t n = heap_.size();
-    Event e = heap_[i];
-    for (;;) {
-      std::size_t child = 2 * i + 1;
-      if (child >= n) break;
-      if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
-      if (!before(heap_[child], e)) break;
-      heap_[i] = heap_[child];
-      i = child;
-    }
-    heap_[i] = e;
-  }
-
-  std::vector<Event> heap_;
-  CallbackSlab slab_;  ///< kCallback payloads (arg = slab slot index)
-  std::uint64_t seq_ = 0;
-  std::uint64_t grows_ = 0;
-  std::size_t peak_size_ = 0;
-};
-
-/// The previous event queue: every event a heap-allocated, type-erased
-/// std::function entry in a std::push_heap/std::pop_heap vector.  Kept as
-/// the in-binary A/B baseline the typed core is measured against
-/// (bench/micro_engine, `Scenario::typed_events = false`); schedules are
-/// bit-identical either way because both queues implement the same
-/// (time, seq) ordering contract.
-class LegacyEventQueue {
- public:
-  void push(SimTime t, EventFn fn) {
-    ISTC_EXPECTS(fn != nullptr);
-    heap_.push_back(Entry{t, seq_++, std::move(fn)});
-    std::push_heap(heap_.begin(), heap_.end(), after);
-  }
-
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-
-  SimTime next_time() const {
-    ISTC_EXPECTS(!heap_.empty());
-    return heap_.front().time;
-  }
-
-  /// Remove and return the earliest event (FIFO among equal times).
-  /// pop_heap rotates the minimum to the back, so it is moved out of a
-  /// mutable element — no const_cast around priority_queue::top() needed.
-  EventFn pop() {
-    ISTC_EXPECTS(!heap_.empty());
-    std::pop_heap(heap_.begin(), heap_.end(), after);
-    EventFn fn = std::move(heap_.back().fn);
-    heap_.pop_back();
-    return fn;
-  }
-
- private:
-  struct Entry {
-    SimTime time;
-    std::uint64_t seq;
-    EventFn fn;
-  };
-
-  /// Comparator for std::push_heap's max-heap view: "a fires after b"
-  /// yields a min-heap on the (time, seq) contract.
-  static bool after(const Entry& a, const Entry& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-
-  std::vector<Entry> heap_;
-  std::uint64_t seq_ = 0;
-};
 
 }  // namespace istc::sim

@@ -10,26 +10,13 @@
 #include <vector>
 
 #include "util/csv.hpp"
+#include "util/json_format.hpp"
 
 namespace istc::trace {
 
 namespace {
 
 constexpr std::int64_t kUsPerSecond = 1'000'000;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
 
 const char* class_name(bool interstitial) {
   return interstitial ? "interstitial" : "native";

@@ -37,8 +37,8 @@ struct TraceSummary {
   std::uint64_t engine_events_repair = 0;      ///< capacity-repair events
   std::uint64_t engine_events_fault = 0;       ///< fault-timeline firings
   std::uint64_t engine_events_grid_arrival = 0;  ///< grid-port deliveries
-  /// Typed-queue heap allocations (vector growth + boxed callbacks);
-  /// zero in steady state on the typed path, 0 (unknowable) in legacy mode.
+  /// Event-queue heap allocations (bucket growth + boxed callbacks); flat
+  /// once the queue's buckets have warmed up.
   std::uint64_t engine_heap_allocations = 0;
 
   // -- scheduler ----------------------------------------------------------
@@ -66,7 +66,7 @@ struct TraceSummary {
   /// pending set changed, vs. passes that reused the cached priority order.
   std::uint64_t priority_recomputes = 0;
   std::uint64_t priority_reuses = 0;
-  /// From-scratch ResourceProfile rebuilds (rebuild path or paranoia).
+  /// From-scratch ResourceProfile rebuilds (ISTC_PARANOID cross-checks).
   std::uint64_t profile_rebuilds = 0;
 
   // -- interstitial stream (Fig. 1 driver) --------------------------------

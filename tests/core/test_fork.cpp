@@ -224,7 +224,7 @@ std::uint64_t hash_run(const sched::RunResult& run) {
 }
 
 TEST(ForkDeterminism, MiniatureForkHitsGoldenScheduleHash) {
-  sim::Engine eng(sim::QueueImpl::kCalendar);
+  sim::Engine eng;
   cluster::DowntimeCalendar cal({{2000, 2400}, {4500, 4800}});
   cluster::Machine machine(
       {.name = "determinism-mini", .site = "", .queue_system = "",
@@ -241,7 +241,7 @@ TEST(ForkDeterminism, MiniatureForkHitsGoldenScheduleHash) {
   while (eng.next_event_time() <= 3000) eng.step();
 
   // Fork through the raw clone constructors, in stack order.
-  sim::Engine eng2(eng.queue_impl());
+  sim::Engine eng2;
   eng2.adopt_state(eng);
   sched::BatchScheduler s2(eng2, s);
   InterstitialDriver driver2(s2, driver);

@@ -49,7 +49,7 @@ TEST(GridMachine, NativeOnlyMatchesBareSchedulerStack) {
   m.drain();
   const auto grid_run = m.take_result();
 
-  sim::Engine eng(true);
+  sim::Engine eng;
   cluster::Machine machine({.name = "port-mini", .site = "",
                             .queue_system = "", .cpus = 64,
                             .clock_ghz = 1.0},

@@ -18,7 +18,12 @@ namespace {
 struct FuzzCase {
   std::uint64_t seed;
   BackfillMode mode;
+  /// Explicit zeroed tail instead of compiler padding: gtest prints the
+  /// parameter's raw bytes into the listed test name, so indeterminate
+  /// padding would make `ctest -N` names differ from build to build.
+  std::uint8_t zero_tail[7] = {};
 };
+static_assert(sizeof(FuzzCase) == 16, "no padding bytes left to print");
 
 class BackfillFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
@@ -41,7 +46,8 @@ std::vector<workload::Job> fuzz_jobs(Rng& rng, std::size_t n) {
 }
 
 TEST_P(BackfillFuzz, ScheduleInvariants) {
-  const auto [seed, mode] = GetParam();
+  const std::uint64_t seed = GetParam().seed;
+  const BackfillMode mode = GetParam().mode;
   Rng rng(seed);
   cluster::DowntimeCalendar cal({{8000, 9000}, {25000, 26000}});
   sim::Engine eng;

@@ -372,8 +372,7 @@ TEST(Scheduler, WakeAtNotFooledByStaleEarlierWake) {
 }
 
 TEST(Scheduler, StaleWakeDedupSurvivesQueueSwap) {
-  // The queued-wakes set must behave identically under every queue impl:
-  // the calendar queue's bucket ordering changes *how* wake events are
+  // The calendar queue's bucket ordering changes *how* wake events are
   // stored, never which wakes are deduplicated or when passes fire.  The
   // wake plan walks the calendar's tiers — same rung-1 bucket (5, 7, 10),
   // a later rung-1 bucket (70), rung 2 (70000), and the far-future
@@ -381,73 +380,67 @@ TEST(Scheduler, StaleWakeDedupSurvivesQueueSwap) {
   // the interstitial driver does (arming everything up front would be
   // covered by the earliest wake and prove nothing).
   const std::vector<SimTime> plan = {70, 70000, 100000000};
-  std::vector<std::vector<SimTime>> fired_by_impl;
-  std::vector<std::uint64_t> wakeups_by_impl;
-  for (const sim::QueueImpl impl :
-       {sim::QueueImpl::kLegacy, sim::QueueImpl::kBinaryHeap,
-        sim::QueueImpl::kCalendar}) {
-    sim::Engine eng(impl);
-    BatchScheduler s(eng, machine_of(10), fcfs_policy());
-    std::vector<SimTime> fired;
-    s.set_post_pass_hook([&](const PassContext& c) {
-      fired.push_back(c.now);
-      for (const SimTime t : plan) {
-        if (t > c.now) {
-          s.wake_at(t);
-          s.wake_at(t);  // immediate duplicate: must be covered
-          break;
-        }
+  sim::Engine eng;
+  BatchScheduler s(eng, machine_of(10), fcfs_policy());
+  std::vector<SimTime> fired;
+  s.set_post_pass_hook([&](const PassContext& c) {
+    fired.push_back(c.now);
+    for (const SimTime t : plan) {
+      if (t > c.now) {
+        s.wake_at(t);
+        s.wake_at(t);  // immediate duplicate: must be covered
+        break;
       }
-    });
-    s.wake_at(10);
-    s.wake_at(5);
-    s.wake_at(7);  // covered by the wake at 5
-    eng.run();
-    fired_by_impl.push_back(std::move(fired));
-    wakeups_by_impl.push_back(s.stats().wakeups);
-    s.take_result(200000000);
-  }
+    }
+  });
+  s.wake_at(10);
+  s.wake_at(5);
+  s.wake_at(7);  // covered by the wake at 5
+  eng.run();
   // 2 up-front (10, 5) + one per plan step; the re-armed duplicates and
   // the covered 7 never reach the queue.
-  const std::vector<SimTime> expected = {5, 10, 70, 70000, 100000000};
-  for (std::size_t i = 0; i < fired_by_impl.size(); ++i) {
-    EXPECT_EQ(fired_by_impl[i], expected) << "impl " << i;
-    EXPECT_EQ(wakeups_by_impl[i], 5u) << "impl " << i;
-  }
+  EXPECT_EQ(fired, (std::vector<SimTime>{5, 10, 70, 70000, 100000000}));
+  EXPECT_EQ(s.stats().wakeups, 5u);
+  s.take_result(200000000);
 }
 
 TEST(Scheduler, IncrementalProfileMatchesRebuildSchedules) {
-  // The pass-persistent profile (deltas + origin advance) and the old
-  // from-scratch per-pass rebuild must produce byte-identical schedules,
-  // under every backfill discipline, across a workload dense enough to
-  // exercise blocking, backfill, reservations and downtime drains.
+  // The pass-persistent profile (deltas + origin advance) under every
+  // backfill discipline, across a workload dense enough to exercise
+  // blocking, backfill, reservations and downtime drains.  Under
+  // ISTC_PARANOID (the sanitizer CI job) every pass of this workload also
+  // asserts that the incremental profile equals the from-scratch
+  // rebuild_profile(); in every build the profile's present value must
+  // agree with the machine after each pass, and every job must run once
+  // for exactly its runtime.
   for (const BackfillMode mode :
        {BackfillMode::kEasy, BackfillMode::kConservative,
         BackfillMode::kNone}) {
-    std::map<workload::JobId, JobRecord> recs[2];
-    for (int variant = 0; variant < 2; ++variant) {
-      sim::Engine eng;
-      PolicySpec policy = fcfs_policy(mode);
-      policy.incremental_profile = variant == 1;
-      BatchScheduler s(
-          eng, machine_of(32, cluster::DowntimeCalendar({{900, 1100}})),
-          policy);
-      Rng rng(99);
-      SimTime submit = 0;
-      for (workload::JobId id = 0; id < 120; ++id) {
-        submit += static_cast<SimTime>(rng.below(40));
-        const auto runtime = 20 + static_cast<Seconds>(rng.below(300));
-        Job j = mk(id, submit, 1 + static_cast<int>(rng.below(20)), runtime,
-                   runtime * (1 + static_cast<Seconds>(rng.below(3))));
-        s.submit(j);
-      }
-      eng.run();
-      recs[variant] = by_id(s.take_result(10000));
+    sim::Engine eng;
+    BatchScheduler s(
+        eng, machine_of(32, cluster::DowntimeCalendar({{900, 1100}})),
+        fcfs_policy(mode));
+    std::size_t checked = 0;
+    s.set_post_pass_hook([&](const PassContext& c) {
+      EXPECT_EQ(s.profile().free_at(c.now), s.machine().free_cpus())
+          << "t=" << c.now;
+      ++checked;
+    });
+    Rng rng(99);
+    SimTime submit = 0;
+    for (workload::JobId id = 0; id < 120; ++id) {
+      submit += static_cast<SimTime>(rng.below(40));
+      const auto runtime = 20 + static_cast<Seconds>(rng.below(300));
+      Job j = mk(id, submit, 1 + static_cast<int>(rng.below(20)), runtime,
+                 runtime * (1 + static_cast<Seconds>(rng.below(3))));
+      s.submit(j);
     }
-    ASSERT_EQ(recs[0].size(), recs[1].size());
-    for (const auto& [id, rec] : recs[0]) {
-      EXPECT_EQ(rec.start, recs[1].at(id).start) << "job " << id;
-      EXPECT_EQ(rec.end, recs[1].at(id).end) << "job " << id;
+    eng.run();
+    EXPECT_GT(checked, 0u);
+    const auto recs = by_id(s.take_result(10000));
+    ASSERT_EQ(recs.size(), 120u);
+    for (const auto& [id, rec] : recs) {
+      EXPECT_EQ(rec.end - rec.start, rec.job.runtime) << "job " << id;
     }
   }
 }

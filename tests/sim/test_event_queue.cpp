@@ -1,5 +1,4 @@
 #include "sim/calendar_queue.hpp"
-#include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,35 +13,17 @@
 namespace istc::sim {
 namespace {
 
+// -- CalendarEventQueue: entry, size and callback-slab contract -----------
+
 TEST(EventQueue, EmptyInitially) {
-  EventQueue q;
+  CalendarEventQueue q;
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
   EXPECT_EQ(q.heap_allocations(), 0u);
 }
 
-TEST(EventQueue, OrdersTypedEventsByTime) {
-  EventQueue q;
-  q.push_typed(30, EventType::kJobFinish, 3);
-  q.push_typed(10, EventType::kJobFinish, 1);
-  q.push_typed(20, EventType::kJobFinish, 2);
-  std::vector<std::uint32_t> fired;
-  while (!q.empty()) fired.push_back(q.pop().arg);
-  EXPECT_EQ(fired, (std::vector<std::uint32_t>{1, 2, 3}));
-}
-
-TEST(EventQueue, FifoAmongEqualTimes) {
-  EventQueue q;
-  for (std::uint32_t i = 0; i < 50; ++i) q.push_typed(5, EventType::kJobSubmit, i);
-  for (std::uint32_t i = 0; i < 50; ++i) {
-    const Event e = q.pop();
-    EXPECT_EQ(e.time, 5);
-    EXPECT_EQ(e.arg, i);
-  }
-}
-
 TEST(EventQueue, PopCarriesTypeAndArg) {
-  EventQueue q;
+  CalendarEventQueue q;
   q.push_typed(7, EventType::kSchedulerWake, 0);
   q.push_typed(3, EventType::kJobFinish, 42);
   Event e = q.pop();
@@ -54,7 +35,7 @@ TEST(EventQueue, PopCarriesTypeAndArg) {
 }
 
 TEST(EventQueue, NextTime) {
-  EventQueue q;
+  CalendarEventQueue q;
   q.push_typed(42, EventType::kSchedulerWake, 0);
   q.push_typed(7, EventType::kSchedulerWake, 0);
   EXPECT_EQ(q.next_time(), 7);
@@ -63,7 +44,7 @@ TEST(EventQueue, NextTime) {
 }
 
 TEST(EventQueue, SizeTracksPushPop) {
-  EventQueue q;
+  CalendarEventQueue q;
   q.push_typed(1, EventType::kSchedulerWake, 0);
   q.push_typed(2, EventType::kSchedulerWake, 0);
   EXPECT_EQ(q.size(), 2u);
@@ -74,7 +55,7 @@ TEST(EventQueue, SizeTracksPushPop) {
 }
 
 TEST(EventQueue, InterleavedPushPopKeepsOrder) {
-  EventQueue q;
+  CalendarEventQueue q;
   std::vector<int> fired;
   q.push_callback(10, [&] { fired.push_back(10); });
   q.push_callback(5, [&] { fired.push_back(5); });
@@ -85,41 +66,40 @@ TEST(EventQueue, InterleavedPushPopKeepsOrder) {
   EXPECT_EQ(fired, (std::vector<int>{5, 1, 10}));
 }
 
-TEST(EventQueue, NegativeTimesAllowedAndOrdered) {
-  // The queue itself is time-agnostic (the engine enforces monotonicity).
-  EventQueue q;
-  q.push_typed(-5, EventType::kJobFinish, 5);
-  q.push_typed(-10, EventType::kJobFinish, 10);
-  EXPECT_EQ(q.pop().time, -10);
-  EXPECT_EQ(q.pop().time, -5);
-}
-
 TEST(EventQueue, SmallTrivialCallbackStaysInline) {
-  EventQueue q;
+  CalendarEventQueue q;
   q.reserve(4);
   long sink = 0;
   q.push_callback(1, [&sink] { ++sink; });  // 8-byte capture: inline
-  EXPECT_EQ(q.heap_allocations(), 0u);
+  EXPECT_EQ(q.boxed_callbacks(), 0u);
   q.take_callback(q.pop()).invoke();
   EXPECT_EQ(sink, 1);
+  EXPECT_EQ(q.live_callbacks(), 0u);
 }
 
 TEST(EventQueue, CallbackSlotsRecycleThroughFreeList) {
   // A popped callback's slab slot returns to the free list, so sustained
-  // one-in-flight churn touches a single slot and never allocates.
-  EventQueue q;
+  // one-in-flight churn touches a single slot.  The first lap warms the
+  // buckets it crosses; an identical second lap allocates nothing.
+  CalendarEventQueue q;
   q.reserve(2);
   long sink = 0;
-  for (SimTime t = 0; t < 100; ++t) {
-    q.push_callback(t, [&sink] { ++sink; });
-    q.take_callback(q.pop()).invoke();
-  }
-  EXPECT_EQ(sink, 100);
-  EXPECT_EQ(q.heap_allocations(), 0u);
+  const auto lap = [&] {
+    for (SimTime t = 0; t < 100; ++t) {
+      q.push_callback(t, [&sink] { ++sink; });
+      q.take_callback(q.pop()).invoke();
+    }
+  };
+  lap();
+  const std::uint64_t warm = q.heap_allocations();
+  lap();
+  EXPECT_EQ(sink, 200);
+  EXPECT_EQ(q.heap_allocations(), warm);
+  EXPECT_EQ(q.boxed_callbacks(), 0u);
 }
 
 TEST(EventQueue, OversizeOrNonTrivialCallbackIsBoxedAndCounted) {
-  EventQueue q;
+  CalendarEventQueue q;
   q.reserve(4);
   std::string payload = "a string is not trivially copyable";
   bool fired = false;
@@ -130,42 +110,8 @@ TEST(EventQueue, OversizeOrNonTrivialCallbackIsBoxedAndCounted) {
   EXPECT_TRUE(fired);
 }
 
-TEST(EventQueue, ReservedSteadyStateAllocatesNothing) {
-  // The acceptance criterion of the rewrite: with a reserve()d backing
-  // vector and typed / inline-callback events, a sustained push/pop churn
-  // performs zero heap allocations.
-  EventQueue q;
-  q.reserve(1024);
-  long sink = 0;
-  for (SimTime t = 0; t < 512; ++t) q.push_typed(t, EventType::kJobFinish, 0);
-  for (int round = 0; round < 200; ++round) {
-    const Event e = q.pop();
-    if (e.type == EventType::kCallback) q.take_callback(e).invoke();
-    q.push_typed(e.time + 1000, EventType::kJobSubmit, 1);
-    q.push_callback(e.time + 1001, [&sink] { ++sink; });
-    const Event e2 = q.pop();
-    if (e2.type == EventType::kCallback) q.take_callback(e2).invoke();
-  }
-  EXPECT_EQ(q.heap_allocations(), 0u);
-}
-
-TEST(EventQueue, DestructorDisposesUndrainedBoxedCallbacks) {
-  // Leak-checked under the ASan CI job: destroying a queue that still
-  // holds boxed callbacks must free their boxes without invoking them.
-  auto alive = std::make_shared<int>(7);
-  bool invoked = false;
-  {
-    EventQueue q;
-    q.push_callback(1, [alive, &invoked] { invoked = true; });
-    EXPECT_EQ(q.boxed_callbacks(), 1u);
-    EXPECT_EQ(alive.use_count(), 2);
-  }
-  EXPECT_FALSE(invoked);
-  EXPECT_EQ(alive.use_count(), 1);
-}
-
 TEST(EventQueue, GrowthWithoutReserveIsCounted) {
-  EventQueue q;  // no reserve: vector growth must be visible
+  CalendarEventQueue q;  // no reserve: bucket growth must be visible
   for (std::uint32_t i = 0; i < 100; ++i) {
     q.push_typed(static_cast<SimTime>(i), EventType::kSchedulerWake, 0);
   }
@@ -173,12 +119,11 @@ TEST(EventQueue, GrowthWithoutReserveIsCounted) {
   EXPECT_EQ(q.boxed_callbacks(), 0u);
 }
 
-// -- property test: typed heap vs. a naive reference model ----------------
+// -- property tests against a naive reference model -----------------------
 //
-// Random push/pop interleavings, with deliberately clumped timestamps (so
-// large same-time batches occur) and pushes at the current minimum time
-// (the "schedule for now from inside a callback" shape), checked against a
-// linear-scan reference model of the (time, insertion-seq) FIFO contract.
+// Push/pop sequences with deliberately clumped timestamps (so large
+// same-time batches occur), checked against a linear-scan reference model
+// of the (time, insertion-seq) FIFO contract.
 
 struct RefEvent {
   SimTime time;
@@ -210,53 +155,8 @@ class ReferenceModel {
   std::uint64_t next_seq_ = 0;
 };
 
-TEST(EventQueueProperty, RandomInterleavingsMatchReferenceModel) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(0xE7E27 + seed);
-    EventQueue q;
-    ReferenceModel ref;
-    std::uint32_t next_arg = 0;
-    SimTime floor = 0;  // pops are monotone; pushes never go below this
-
-    for (int step = 0; step < 4000; ++step) {
-      const std::uint64_t roll = rng.below(100);
-      if (roll < 55 || q.empty()) {
-        // Clumped times: ~half the pushes land on a shared timestamp to
-        // build large same-time batches; some land exactly at the current
-        // minimum ("scheduled for the current timestep").
-        SimTime t;
-        if (roll < 15 && !q.empty()) {
-          t = q.next_time();
-        } else if (roll < 35) {
-          t = floor + static_cast<SimTime>(rng.below(3));  // clump
-        } else {
-          t = floor + static_cast<SimTime>(rng.below(200));
-        }
-        q.push_typed(t, EventType::kJobSubmit, next_arg);
-        ref.push(t, next_arg);
-        ++next_arg;
-      } else {
-        const Event got = q.pop();
-        const RefEvent want = ref.pop();
-        ASSERT_EQ(got.time, want.time) << "seed " << seed << " step " << step;
-        ASSERT_EQ(got.seq, want.seq) << "seed " << seed << " step " << step;
-        ASSERT_EQ(got.arg, want.arg) << "seed " << seed << " step " << step;
-        floor = got.time;
-      }
-    }
-    while (!q.empty()) {
-      const Event got = q.pop();
-      const RefEvent want = ref.pop();
-      ASSERT_EQ(got.time, want.time);
-      ASSERT_EQ(got.seq, want.seq);
-      ASSERT_EQ(got.arg, want.arg);
-    }
-    EXPECT_TRUE(ref.empty());
-  }
-}
-
 TEST(EventQueueProperty, LargeSameTimestampBatchDrainsInInsertionOrder) {
-  EventQueue q;
+  CalendarEventQueue q;
   ReferenceModel ref;
   Rng rng(0xBA7C4);
   // A few thousand events on just three timestamps, pushed in random
@@ -280,54 +180,6 @@ TEST(EventQueueProperty, LargeSameTimestampBatchDrainsInInsertionOrder) {
     last_seq_at_time[slot] = got.seq;
     seen[slot] = true;
   }
-}
-
-// -- the legacy std::function baseline ------------------------------------
-
-TEST(LegacyEventQueue, OrdersByTime) {
-  LegacyEventQueue q;
-  std::vector<int> fired;
-  q.push(30, [&] { fired.push_back(30); });
-  q.push(10, [&] { fired.push_back(10); });
-  q.push(20, [&] { fired.push_back(20); });
-  while (!q.empty()) q.pop()();
-  EXPECT_EQ(fired, (std::vector<int>{10, 20, 30}));
-}
-
-TEST(LegacyEventQueue, FifoAmongEqualTimes) {
-  LegacyEventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 50; ++i) q.push(5, [&fired, i] { fired.push_back(i); });
-  while (!q.empty()) q.pop()();
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
-}
-
-TEST(LegacyEventQueue, NextTimeAndSize) {
-  LegacyEventQueue q;
-  q.push(42, [] {});
-  q.push(7, [] {});
-  EXPECT_EQ(q.next_time(), 7);
-  EXPECT_EQ(q.size(), 2u);
-  q.pop();
-  EXPECT_EQ(q.next_time(), 42);
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(LegacyEventQueue, MatchesTypedQueueOrderOnRandomWorkload) {
-  // Both implementations must realize the same (time, seq) contract.
-  Rng rng(0x5EED5);
-  EventQueue typed;
-  LegacyEventQueue legacy;
-  std::vector<std::uint32_t> legacy_fired;
-  for (std::uint32_t i = 0; i < 2000; ++i) {
-    const SimTime t = static_cast<SimTime>(rng.below(50));
-    typed.push_typed(t, EventType::kJobSubmit, i);
-    legacy.push(t, [&legacy_fired, i] { legacy_fired.push_back(i); });
-  }
-  std::vector<std::uint32_t> typed_fired;
-  while (!typed.empty()) typed_fired.push_back(typed.pop().arg);
-  while (!legacy.empty()) legacy.pop()();
-  EXPECT_EQ(typed_fired, legacy_fired);
 }
 
 // -- the calendar/ladder queue --------------------------------------------
@@ -399,9 +251,8 @@ TEST(CalendarQueue, DrainedQueueReanchorsAtDistantTime) {
 }
 
 TEST(CalendarQueue, WarmedUpSteadyStateAllocatesNothing) {
-  // Unlike the binary heap (whose reserve() pre-sizes everything), the
-  // calendar's buckets warm up to their working capacity on first
-  // contact.  Once warm, an identical second phase must not allocate:
+  // reserve() pre-sizes only the callback slab and the sorted window; the
+  // buckets warm up to their working capacity on first contact.  Once warm, an identical second phase must not allocate:
   // bucket vectors recycle modulo the wheel size.
   CalendarEventQueue q;
   const auto churn = [&](SimTime base) {
@@ -484,8 +335,9 @@ TEST(CalendarQueue, AssignFromReplaysIdentically) {
 }
 
 TEST(CalendarQueueProperty, RandomInterleavingsMatchReferenceModel) {
-  // The heap property harness, plus calendar-specific hazards: pushes
-  // that jump past the rung-1 window (bucket rollover), past the rung-2
+  // Random push/pop interleavings, including pushes at the current
+  // minimum time (the "schedule for now from inside a callback" shape),
+  // plus calendar-specific hazards: pushes that jump past the rung-1 window (bucket rollover), past the rung-2
   // horizon (far overflow + re-anchor), and gap pushes behind the cursor
   // after such a jump.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -534,27 +386,6 @@ TEST(CalendarQueueProperty, RandomInterleavingsMatchReferenceModel) {
     }
     EXPECT_TRUE(ref.empty());
   }
-}
-
-TEST(CalendarQueueProperty, MatchesBinaryHeapOrderOnRandomWorkload) {
-  // All three implementations realize one contract; this pins calendar
-  // vs. heap directly (legacy vs. heap is pinned above).
-  Rng rng(0x3C4D5);
-  EventQueue heap;
-  CalendarEventQueue cal;
-  for (std::uint32_t i = 0; i < 3000; ++i) {
-    const SimTime t = static_cast<SimTime>(rng.below(1 << 20));
-    heap.push_typed(t, EventType::kJobSubmit, i);
-    cal.push_typed(t, EventType::kJobSubmit, i);
-  }
-  while (!heap.empty()) {
-    const Event a = heap.pop();
-    const Event b = cal.pop();
-    ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.seq, b.seq);
-    ASSERT_EQ(a.arg, b.arg);
-  }
-  EXPECT_TRUE(cal.empty());
 }
 
 }  // namespace

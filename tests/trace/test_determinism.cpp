@@ -1,5 +1,5 @@
 // The trace contract that makes traces diffable artifacts: events are
-// keyed by (SimTime, seq) exactly like the simulator's event heap, wall
+// keyed by (SimTime, seq) exactly like the simulator's event queue, wall
 // clock readings never enter the event stream, and exporters sort before
 // writing.  Two runs with the same seed must therefore produce
 // byte-identical JSONL — and attaching a tracer must not perturb the
@@ -51,11 +51,9 @@ std::vector<workload::Job> random_natives(std::uint64_t seed) {
   return jobs;
 }
 
-sched::RunResult run_miniature(
-    std::uint64_t seed, Tracer* tracer,
-    sim::QueueImpl impl = sim::QueueImpl::kCalendar,
-    metrics::RunMetrics* metrics = nullptr) {
-  sim::Engine eng(impl);
+sched::RunResult run_miniature(std::uint64_t seed, Tracer* tracer,
+                               metrics::RunMetrics* metrics = nullptr) {
+  sim::Engine eng;
   cluster::DowntimeCalendar cal({{2000, 2400}, {4500, 4800}});
   cluster::Machine machine(
       {.name = "determinism-mini", .site = "", .queue_system = "",
@@ -74,10 +72,9 @@ sched::RunResult run_miniature(
   return s.take_result(kSpan);
 }
 
-std::string jsonl_of(std::uint64_t seed,
-                     sim::QueueImpl impl = sim::QueueImpl::kCalendar) {
+std::string jsonl_of(std::uint64_t seed) {
   Tracer tracer(TraceMode::kFull, 4u << 20);
-  run_miniature(seed, &tracer, impl);
+  run_miniature(seed, &tracer);
   EXPECT_EQ(tracer.dropped(), 0u);
   std::ostringstream out;
   write_jsonl(out, tracer);
@@ -155,36 +152,6 @@ TEST(TraceDeterminism, MiniatureJsonlMatchesGolden) {
   EXPECT_EQ(hash_str(jsonl_of(42)), 0x36432d51afb41bcaull);
 }
 
-// The calendar queue (the default above), the typed binary heap, and the
-// legacy std::function queue implement the same (time, seq) contract, so
-// all three must hit the same golden pins: the queue knob changes
-// representation cost, never behavior.
-TEST(TraceDeterminism, BinaryHeapQueueMatchesScheduleGolden) {
-  const auto run = run_miniature(42, nullptr, sim::QueueImpl::kBinaryHeap);
-  EXPECT_EQ(hash_run(run), 0x4cb3857a75f8d6bfull);
-}
-
-TEST(TraceDeterminism, BinaryHeapQueueMatchesJsonlGolden) {
-#if !ISTC_TRACING_ENABLED
-  GTEST_SKIP() << "tracing compiled out (ISTC_TRACING=OFF)";
-#endif
-  EXPECT_EQ(hash_str(jsonl_of(42, sim::QueueImpl::kBinaryHeap)),
-            0x36432d51afb41bcaull);
-}
-
-TEST(TraceDeterminism, LegacyQueueMatchesScheduleGolden) {
-  const auto run = run_miniature(42, nullptr, sim::QueueImpl::kLegacy);
-  EXPECT_EQ(hash_run(run), 0x4cb3857a75f8d6bfull);
-}
-
-TEST(TraceDeterminism, LegacyQueueMatchesJsonlGolden) {
-#if !ISTC_TRACING_ENABLED
-  GTEST_SKIP() << "tracing compiled out (ISTC_TRACING=OFF)";
-#endif
-  EXPECT_EQ(hash_str(jsonl_of(42, sim::QueueImpl::kLegacy)),
-            0x36432d51afb41bcaull);
-}
-
 TEST(TraceDeterminism, EngineEventCoreGaugesReachSummary) {
 #if !ISTC_TRACING_ENABLED
   GTEST_SKIP() << "tracing compiled out (ISTC_TRACING=OFF)";
@@ -211,7 +178,7 @@ TEST(TraceDeterminism, EngineEventCoreGaugesReachSummary) {
 // schedule hash — including sim_end — is untouched.
 TEST(TraceDeterminism, MetricsAttachedSamplerOffMatchesGolden) {
   metrics::RunMetrics m;  // default config: interval 0, no sampler
-  const auto run = run_miniature(42, nullptr, sim::QueueImpl::kCalendar, &m);
+  const auto run = run_miniature(42, nullptr, &m);
   EXPECT_EQ(hash_run(run), 0x4cb3857a75f8d6bfull);
   EXPECT_EQ(m.sampler(), nullptr);
   m.ingest(run);
@@ -220,12 +187,12 @@ TEST(TraceDeterminism, MetricsAttachedSamplerOffMatchesGolden) {
   EXPECT_EQ(c->value, run.native_count());
 }
 
-// With the sampler on, sample ticks are hook-transparent in both queue
-// modes (the pending sample is a scalar deadline beside the event heap,
-// never a heap entry): either way the schedule — every record and
-// kill — is bit-identical to the bare run.  Only sim_end may move (the
-// engine drains sample ticks out to the sampler stop), which is why this
-// compares records rather than the golden hash.
+// With the sampler on, sample ticks are hook-transparent (the pending
+// sample is a scalar deadline beside the event queue, never a queue
+// entry): the schedule — every record and kill — is bit-identical to the
+// bare run.  Only sim_end may move (the engine drains sample ticks out to
+// the sampler stop), which is why this compares records rather than the
+// golden hash.
 TEST(TraceDeterminism, SamplingIsScheduleNeutral) {
   const auto bare = run_miniature(42, nullptr);
   auto same = [](const sched::JobRecord& x, const sched::JobRecord& y) {
@@ -234,27 +201,20 @@ TEST(TraceDeterminism, SamplingIsScheduleNeutral) {
            x.start == y.start && x.end == y.end &&
            x.interstitial() == y.interstitial();
   };
-  for (const sim::QueueImpl impl :
-       {sim::QueueImpl::kCalendar, sim::QueueImpl::kBinaryHeap,
-        sim::QueueImpl::kLegacy}) {
-    const int mode = static_cast<int>(impl);
-    metrics::SamplerConfig cfg;
-    cfg.interval = 60;
-    metrics::RunMetrics m(cfg);
-    const auto sampled = run_miniature(42, nullptr, impl, &m);
-    ASSERT_NE(m.sampler(), nullptr);
-    // kSpan / 60 ticks, the last exactly on the stop.
-    EXPECT_EQ(m.sampler()->rows().size(), 100u) << "impl=" << mode;
-    ASSERT_EQ(sampled.records.size(), bare.records.size());
-    for (std::size_t i = 0; i < sampled.records.size(); ++i) {
-      EXPECT_TRUE(same(sampled.records[i], bare.records[i]))
-          << "impl=" << mode << " record " << i;
-    }
-    ASSERT_EQ(sampled.killed.size(), bare.killed.size());
-    for (std::size_t i = 0; i < sampled.killed.size(); ++i) {
-      EXPECT_TRUE(same(sampled.killed[i], bare.killed[i]))
-          << "impl=" << mode << " kill " << i;
-    }
+  metrics::SamplerConfig cfg;
+  cfg.interval = 60;
+  metrics::RunMetrics m(cfg);
+  const auto sampled = run_miniature(42, nullptr, &m);
+  ASSERT_NE(m.sampler(), nullptr);
+  // kSpan / 60 ticks, the last exactly on the stop.
+  EXPECT_EQ(m.sampler()->rows().size(), 100u);
+  ASSERT_EQ(sampled.records.size(), bare.records.size());
+  for (std::size_t i = 0; i < sampled.records.size(); ++i) {
+    EXPECT_TRUE(same(sampled.records[i], bare.records[i])) << "record " << i;
+  }
+  ASSERT_EQ(sampled.killed.size(), bare.killed.size());
+  for (std::size_t i = 0; i < sampled.killed.size(); ++i) {
+    EXPECT_TRUE(same(sampled.killed[i], bare.killed[i])) << "kill " << i;
   }
 }
 
